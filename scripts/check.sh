@@ -12,6 +12,13 @@
 #                                         --plan-time into BENCH_plan.json and
 #                                         checks it against
 #                                         scripts/plan_baseline.json
+#        scripts/check.sh --perfbench [s] benchmark smoke run: builds
+#                                         perfbench/ in Release and runs each
+#                                         of its four workloads for a few
+#                                         seconds (default 3) with seed 1;
+#                                         fails on a non-zero exit or on
+#                                         "correct": false in a run's
+#                                         result line
 #        scripts/check.sh --verify-orders runs the tier-1 suites under
 #                                         asan-ubsan with runtime order
 #                                         verification (OrderCheckOp above
@@ -124,6 +131,35 @@ if [ "${1:-}" = "--plan-bench" ]; then
   cmake --preset default >/dev/null
   cmake --build --preset default -j "$JOBS"
   plan_bench_gate
+  exit 0
+fi
+
+# Benchmark smoke run: every perfbench workload for a few seconds, so a
+# src/ change that breaks the benchmark's build or its checked answers
+# fails here rather than in a full benchmark run. The last stdout line of
+# each run is its JSON result; "correct": false means an answer differed
+# from the benchmark's independently computed reference.
+if [ "${1:-}" = "--perfbench" ]; then
+  SECONDS_PER_RUN="${2:-3}"
+  for workload in tpcd-serial tpcd-ordered-parallel plan-heavy service-mix; do
+    echo "==> perfbench smoke [$workload, ${SECONDS_PER_RUN}s]"
+    if ! RESULT=$(python3 perfbench/run.py --workload "$workload" --seed 1 \
+      --seconds "$SECONDS_PER_RUN" --trace 0 | tail -n 1); then
+      echo "FAIL: perfbench $workload exited non-zero"
+      exit 1
+    fi
+    if ! printf '%s\n' "$RESULT" | python3 -c '
+import json, sys
+result = json.loads(sys.stdin.read())
+if result.get("correct") is not True:
+    sys.exit(1)
+'; then
+      echo "FAIL: perfbench $workload: $RESULT"
+      exit 1
+    fi
+    echo "    correct"
+  done
+  echo "OK: all four perfbench workloads built, ran and answered correctly"
   exit 0
 fi
 

@@ -57,30 +57,29 @@ struct Renderer {
                         FormatMs(stats->total_ns()).c_str(),
                         FormatMs(self_ns).c_str(),
                         static_cast<long long>(stats->next_calls));
-      if (stats->rows_scanned > 0) {
+      const RuntimeMetrics& m = stats->metrics;
+      if (m.rows_scanned > 0) {
         line += StrFormat(" scanned=%lld",
-                          static_cast<long long>(stats->rows_scanned));
+                          static_cast<long long>(m.rows_scanned));
       }
-      if (stats->comparisons > 0) {
-        line += StrFormat(" cmp=%lld",
-                          static_cast<long long>(stats->comparisons));
+      if (m.comparisons > 0) {
+        line += StrFormat(" cmp=%lld", static_cast<long long>(m.comparisons));
       }
-      if (stats->seq_pages > 0 || stats->random_pages > 0) {
+      if (m.seq_pages > 0 || m.random_pages > 0) {
         line += StrFormat(" pages=%lld+%lldr",
-                          static_cast<long long>(stats->seq_pages),
-                          static_cast<long long>(stats->random_pages));
+                          static_cast<long long>(m.seq_pages),
+                          static_cast<long long>(m.random_pages));
       }
-      if (stats->index_probes > 0) {
+      if (m.index_probes > 0) {
         line += StrFormat(" probes=%lld",
-                          static_cast<long long>(stats->index_probes));
+                          static_cast<long long>(m.index_probes));
       }
-      if (stats->spill_runs > 0) {
-        line += StrFormat(" spills=%lld",
-                          static_cast<long long>(stats->spill_runs));
+      if (m.spill_runs > 0) {
+        line += StrFormat(" spills=%lld", static_cast<long long>(m.spill_runs));
       }
-      if (stats->spill_retries > 0) {
+      if (m.spill_retries > 0) {
         line += StrFormat(" spill_retries=%lld",
-                          static_cast<long long>(stats->spill_retries));
+                          static_cast<long long>(m.spill_retries));
       }
       if (stats->buffered_rows_peak > 0) {
         line += StrFormat(" buffered_peak=%lld",

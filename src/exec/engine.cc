@@ -88,13 +88,13 @@ void EmitExecEvents(TraceCollector* trace, const QueryResult& result,
     e.SetInt("next_calls", p.stats.next_calls);
     e.SetInt("open_ns", p.stats.open_ns);
     e.SetInt("next_ns", p.stats.next_ns);
-    e.SetInt("rows_scanned", p.stats.rows_scanned);
-    e.SetInt("comparisons", p.stats.comparisons);
-    e.SetInt("seq_pages", p.stats.seq_pages);
-    e.SetInt("random_pages", p.stats.random_pages);
-    e.SetInt("index_probes", p.stats.index_probes);
-    e.SetInt("spill_runs", p.stats.spill_runs);
-    e.SetInt("spill_retries", p.stats.spill_retries);
+    e.SetInt("rows_scanned", p.stats.metrics.rows_scanned);
+    e.SetInt("comparisons", p.stats.metrics.comparisons);
+    e.SetInt("seq_pages", p.stats.metrics.seq_pages);
+    e.SetInt("random_pages", p.stats.metrics.random_pages);
+    e.SetInt("index_probes", p.stats.metrics.index_probes);
+    e.SetInt("spill_runs", p.stats.metrics.spill_runs);
+    e.SetInt("spill_retries", p.stats.metrics.spill_retries);
     e.SetInt("buffered_rows_peak", p.stats.buffered_rows_peak);
   }
   TraceEvent& m = trace->Add("exec", "metrics");

@@ -50,6 +50,14 @@ ColumnSet NodeOwnColumns(const PlanNode& plan, bool verify_orders) {
   return own;
 }
 
+/// The join kind a merge or hash join node runs; the left-join plan kinds
+/// share their inner twins' operators.
+JoinKind JoinKindOf(OpKind kind) {
+  return kind == OpKind::kMergeLeftJoin || kind == OpKind::kHashLeftJoin
+             ? JoinKind::kLeftOuter
+             : JoinKind::kInner;
+}
+
 Result<OperatorPtr> BuildTree(const PlanRef& plan, ExecContext ctx,
                               const RequiredColumns& required) {
   // Effective requirement on this node's output: what the parent needs
@@ -138,9 +146,10 @@ Result<OperatorPtr> BuildTree(const PlanRef& plan, ExecContext ctx,
           new SortOp(std::move(children[0]), plan->sort_spec, ctx));
       break;
     case OpKind::kMergeJoin:
-      built = OperatorPtr(new MergeJoinOp(std::move(children[0]),
-                                          std::move(children[1]),
-                                          plan->join_pairs, ctx));
+    case OpKind::kMergeLeftJoin:
+      built = OperatorPtr(new MergeJoinOp(
+          std::move(children[0]), std::move(children[1]), plan->join_pairs,
+          JoinKindOf(plan->kind), ctx));
       break;
     case OpKind::kIndexNLJoin:
       built = OperatorPtr(new IndexNLJoinOp(std::move(children[0]),
@@ -149,28 +158,20 @@ Result<OperatorPtr> BuildTree(const PlanRef& plan, ExecContext ctx,
                                             plan->join_pairs, ctx, prune));
       break;
     case OpKind::kNaiveNLJoin:
-      built = OperatorPtr(new NaiveNLJoinOp(std::move(children[0]),
-                                            std::move(children[1]), ctx));
-      break;
-    case OpKind::kHashJoin:
-      built = OperatorPtr(new HashJoinOp(std::move(children[0]),
-                                         std::move(children[1]),
-                                         plan->join_pairs, ctx));
-      break;
-    case OpKind::kMergeLeftJoin:
-      built = OperatorPtr(new MergeLeftJoinOp(std::move(children[0]),
-                                              std::move(children[1]),
-                                              plan->join_pairs, ctx));
-      break;
-    case OpKind::kHashLeftJoin:
-      built = OperatorPtr(new HashLeftJoinOp(std::move(children[0]),
-                                             std::move(children[1]),
-                                             plan->join_pairs, ctx));
+      built = OperatorPtr(new NestedLoopJoinOp(std::move(children[0]),
+                                               std::move(children[1]),
+                                               JoinKind::kInner, {}, ctx));
       break;
     case OpKind::kNaiveLeftJoin:
-      built = OperatorPtr(new NaiveLeftJoinOp(std::move(children[0]),
-                                              std::move(children[1]),
-                                              plan->predicates, ctx));
+      built = OperatorPtr(new NestedLoopJoinOp(
+          std::move(children[0]), std::move(children[1]),
+          JoinKind::kLeftOuter, plan->predicates, ctx));
+      break;
+    case OpKind::kHashJoin:
+    case OpKind::kHashLeftJoin:
+      built = OperatorPtr(new HashJoinOp(
+          std::move(children[0]), std::move(children[1]), plan->join_pairs,
+          JoinKindOf(plan->kind), ctx));
       break;
     case OpKind::kStreamGroupBy:
     case OpKind::kSortGroupBy:

@@ -26,10 +26,10 @@ namespace ordopt {
 /// Open()/NextBatch() are non-virtual wrappers around the
 /// OpenImpl()/NextBatchImpl() hooks subclasses implement. When
 /// ExecContext::collect_op_stats is set (EXPLAIN ANALYZE / full tracing),
-/// the wrappers time each call and attribute the query-level RuntimeMetrics
-/// delta across it to this operator's OperatorStats. The delta spans the
-/// whole call — including nested child pulls — so stats are inclusive of
-/// the subtree and a parent's self cost is its value minus the sum over its
+/// the wrappers time each call and add the query-level RuntimeMetrics
+/// delta across it to OperatorStats::metrics. The delta spans the whole
+/// call — including nested child pulls — so stats are inclusive of the
+/// subtree and a parent's self cost is its value minus the sum over its
 /// children. When stats collection is off the wrappers cost one branch.
 /// At batch granularity next_calls counts NextBatch invocations and
 /// rows_out accumulates emitted batch sizes.
@@ -50,11 +50,11 @@ class Operator {
       OpenImpl();
       return;
     }
-    MetricsSnapshot before = Snapshot();
+    const RuntimeMetrics before = MetricsNow();
     auto start = std::chrono::steady_clock::now();
     OpenImpl();
     stats_.open_ns += ElapsedNs(start);
-    AccumulateDelta(before);
+    stats_.metrics.AccumulateDelta(before, MetricsNow());
   }
 
   /// Produces the next batch of rows; false at end of stream (the batch is
@@ -62,11 +62,11 @@ class Operator {
   /// batch can be reused across calls and across operators.
   bool NextBatch(RowBatch* out) {
     if (!ctx_.collect_op_stats) return NextBatchImpl(out);
-    MetricsSnapshot before = Snapshot();
+    const RuntimeMetrics before = MetricsNow();
     auto start = std::chrono::steady_clock::now();
     bool produced = NextBatchImpl(out);
     stats_.next_ns += ElapsedNs(start);
-    AccumulateDelta(before);
+    stats_.metrics.AccumulateDelta(before, MetricsNow());
     ++stats_.next_calls;
     if (produced) stats_.rows_out += out->size();
     return produced;
@@ -134,42 +134,9 @@ class Operator {
   OperatorStats stats_;
 
  private:
-  /// The RuntimeMetrics counters attributed per-operator; rows_produced /
-  /// sorts / buffered peaks are tracked elsewhere (rows_out counts this
-  /// operator's own emissions, buffered_rows_peak via BufferAccount).
-  struct MetricsSnapshot {
-    int64_t rows_scanned = 0;
-    int64_t comparisons = 0;
-    int64_t seq_pages = 0;
-    int64_t random_pages = 0;
-    int64_t index_probes = 0;
-    int64_t spill_runs = 0;
-    int64_t spill_retries = 0;
-  };
-
-  MetricsSnapshot Snapshot() const {
-    MetricsSnapshot s;
-    if (ctx_.metrics != nullptr) {
-      s.rows_scanned = ctx_.metrics->rows_scanned;
-      s.comparisons = ctx_.metrics->comparisons;
-      s.seq_pages = ctx_.metrics->seq_pages;
-      s.random_pages = ctx_.metrics->random_pages;
-      s.index_probes = ctx_.metrics->index_probes;
-      s.spill_runs = ctx_.metrics->spill_runs;
-      s.spill_retries = ctx_.metrics->spill_retries;
-    }
-    return s;
-  }
-
-  void AccumulateDelta(const MetricsSnapshot& before) {
-    if (ctx_.metrics == nullptr) return;
-    stats_.rows_scanned += ctx_.metrics->rows_scanned - before.rows_scanned;
-    stats_.comparisons += ctx_.metrics->comparisons - before.comparisons;
-    stats_.seq_pages += ctx_.metrics->seq_pages - before.seq_pages;
-    stats_.random_pages += ctx_.metrics->random_pages - before.random_pages;
-    stats_.index_probes += ctx_.metrics->index_probes - before.index_probes;
-    stats_.spill_runs += ctx_.metrics->spill_runs - before.spill_runs;
-    stats_.spill_retries += ctx_.metrics->spill_retries - before.spill_retries;
+  /// The query-level counters as of now (zeros without metrics).
+  RuntimeMetrics MetricsNow() const {
+    return ctx_.metrics != nullptr ? *ctx_.metrics : RuntimeMetrics();
   }
 
   static int64_t ElapsedNs(std::chrono::steady_clock::time_point start) {
@@ -360,12 +327,46 @@ class SortOp : public Operator {
   bool merging_ = false;
 };
 
+/// Which rows a join emits. kInner: the matching (outer, inner) pairs;
+/// NULL join keys never match. kLeftOuter: those pairs plus, once, every
+/// outer row that matched nothing (NULL-keyed outers included), padded
+/// with NULLs on the inner width.
+enum class JoinKind { kInner, kLeftOuter };
+
+/// What the two-input joins share: both children, the join kind, the
+/// concatenated output layout (outer columns, then inner), the positions
+/// of the equality pairs in each child, and the account charging buffered
+/// inner rows. Each algorithm runs both join kinds; the left kind only adds
+/// the padded rows (and, for the nested loop, the ON predicates).
+class JoinOp : public Operator {
+ public:
+  void Close() override;
+
+ protected:
+  JoinOp(OperatorPtr outer, OperatorPtr inner,
+         const std::vector<std::pair<ColumnId, ColumnId>>& pairs,
+         JoinKind kind, ExecContext ctx);
+
+  /// `*out` = the current outer row followed by `inner`.
+  void Concat(const Row& inner, Row* out) const;
+  /// `*out` = the current outer row padded with NULLs on the inner width.
+  void Padded(Row* out) const;
+
+  OperatorPtr outer_;
+  OperatorPtr inner_;
+  JoinKind kind_;
+  std::vector<int> outer_positions_;
+  std::vector<int> inner_positions_;
+  BufferAccount buffer_;
+  Row outer_row_;
+};
+
 /// Merge join of two streams sorted on the join keys (ascending). Handles
-/// many-to-many groups by buffering the inner group; NULL keys never match.
-class MergeJoinOp : public Operator {
+/// many-to-many groups by buffering the inner group. Preserves outer order.
+class MergeJoinOp : public JoinOp {
  public:
   MergeJoinOp(OperatorPtr outer, OperatorPtr inner,
-              std::vector<std::pair<ColumnId, ColumnId>> pairs,
+              std::vector<std::pair<ColumnId, ColumnId>> pairs, JoinKind kind,
               ExecContext ctx);
   void OpenImpl() override;
   bool NextBatchImpl(RowBatch* out) override;
@@ -373,19 +374,16 @@ class MergeJoinOp : public Operator {
 
  private:
   bool ProduceRow(Row* out);
-  int CompareKeys(const Row& outer_row, const Row& inner_row) const;
-  bool OuterKeyEqualsGroup(const Row& outer_row) const;
-  bool FetchOuter();
+  int CompareKeys() const;
+  bool OuterKeyEqualsGroup() const;
+  /// Advances the inner past NULL keys and keys below the current outer
+  /// row's; on an equal key buffers that key's group and returns true.
+  bool SeekGroup();
   void LoadInnerGroup();
 
-  OperatorPtr outer_;
-  OperatorPtr inner_;
-  std::vector<int> outer_positions_;
-  std::vector<int> inner_positions_;
-  BufferAccount group_buffer_;
-
-  Row outer_row_;
   bool outer_valid_ = false;
+  bool outer_started_ = false;  ///< matched_ is computed for outer_row_
+  bool matched_ = false;        ///< outer_row_ joins the buffered group
   Row inner_row_;
   bool inner_valid_ = false;
   std::vector<Row> group_;  ///< buffered inner rows with equal key
@@ -445,34 +443,38 @@ class IndexNLJoinOp : public Operator {
   std::vector<int64_t> match_rid_;
 };
 
-/// Naive nested-loop join (inner materialized once, rescanned per outer
-/// row); used for cartesian products and non-equality joins.
-class NaiveNLJoinOp : public Operator {
+/// Nested-loop join: the inner is materialized once and rescanned per
+/// outer row; each concatenated pair that passes the ON predicates is
+/// emitted (with none, the cartesian product). Used for cartesian
+/// products, non-equality joins, and left joins on arbitrary ON
+/// conditions. Preserves outer order.
+class NestedLoopJoinOp : public JoinOp {
  public:
-  NaiveNLJoinOp(OperatorPtr outer, OperatorPtr inner,
-                ExecContext ctx = ExecContext());
+  NestedLoopJoinOp(OperatorPtr outer, OperatorPtr inner, JoinKind kind,
+                   std::vector<Predicate> on_predicates = {},
+                   ExecContext ctx = ExecContext());
   void OpenImpl() override;
   bool NextBatchImpl(RowBatch* out) override;
   void Close() override;
 
  private:
   bool ProduceRow(Row* out);
+  bool PassesOn(const Row& row) const;
 
-  OperatorPtr outer_;
-  OperatorPtr inner_;
-  BufferAccount buffer_;
+  std::vector<Predicate> on_predicates_;
+  std::unique_ptr<ExprEvaluator> eval_;
   std::vector<Row> inner_rows_;
-  Row outer_row_;
   bool outer_valid_ = false;
+  bool matched_ = false;  ///< outer_row_ produced at least one pair
   size_t inner_pos_ = 0;
 };
 
 /// Hash join: builds on the inner, probes with the outer (outer order NOT
 /// preserved by contract, although probing happens in outer order).
-class HashJoinOp : public Operator {
+class HashJoinOp : public JoinOp {
  public:
   HashJoinOp(OperatorPtr outer, OperatorPtr inner,
-             std::vector<std::pair<ColumnId, ColumnId>> pairs,
+             std::vector<std::pair<ColumnId, ColumnId>> pairs, JoinKind kind,
              ExecContext ctx = ExecContext());
   void OpenImpl() override;
   bool NextBatchImpl(RowBatch* out) override;
@@ -489,108 +491,55 @@ class HashJoinOp : public Operator {
                     const std::vector<Value>& b) const;
   };
 
-  OperatorPtr outer_;
-  OperatorPtr inner_;
-  std::vector<int> outer_positions_;
-  std::vector<int> inner_positions_;
-  BufferAccount buffer_;
   std::unordered_map<std::vector<Value>, std::vector<Row>, KeyHash, KeyEq>
       hash_table_;
-  Row outer_row_;
   const std::vector<Row>* matches_ = nullptr;
   size_t match_pos_ = 0;
 };
 
-/// LEFT OUTER merge join: both inputs sorted ascending on the ON-equality
-/// keys; unmatched (or NULL-keyed) outer rows emit once, null-padded on
-/// the inner width. Preserves outer order.
-class MergeLeftJoinOp : public Operator {
+/// The aggregation core both grouping operators share: one group's
+/// accumulator state, fed input rows and finished into the group's output
+/// row. In-stream and hash aggregation differ only in how they find a
+/// row's group (Do, Graefe & Naughton): StreamGroupByOp keeps one group
+/// open while keys stay equal, HashGroupByOp keeps one per key. DISTINCT
+/// aggregates retain their value sets, charged to the owning operator.
+class Aggregator {
  public:
-  MergeLeftJoinOp(OperatorPtr outer, OperatorPtr inner,
-                  std::vector<std::pair<ColumnId, ColumnId>> pairs,
-                  ExecContext ctx);
-  void OpenImpl() override;
-  bool NextBatchImpl(RowBatch* out) override;
-  void Close() override;
+  /// Accumulator of one aggregate within one group.
+  struct State {
+    double sum_d = 0.0;
+    int64_t sum_i = 0;
+    bool sum_is_int = true;
+    bool saw_value = false;
+    int64_t count = 0;
+    Value min_v;
+    Value max_v;
+    std::map<std::vector<Value>, bool> distinct_values;
+  };
+  /// One group's accumulators, one State per aggregate.
+  using Group = std::vector<State>;
+
+  Aggregator(std::vector<AggregateSpec> aggregates, ExecContext ctx,
+             OperatorStats* stats);
+
+  /// Binds the aggregate arguments to the input layout and drops any
+  /// DISTINCT charge left from an earlier run.
+  void Open(const std::vector<ColumnId>& input_layout);
+  Group NewGroup() const { return Group(aggregates_.size()); }
+  /// Folds `row` into `group`. False once a DISTINCT value set trips a
+  /// buffer limit (the guard is poisoned; the caller winds down).
+  bool Accumulate(const Row& row, Group* group);
+  /// Appends the group's aggregate values to `out` (which holds the group
+  /// key) and charges the one comparison that closes a group.
+  void Finish(Group* group, Row* out) const;
+  /// Releases the charge for every DISTINCT value retained so far.
+  void ReleaseDistinct() { distinct_buffer_.Release(); }
 
  private:
-  bool ProduceRow(Row* out);
-  bool KeyEqualsGroup(const Row& outer_row) const;
-  bool OuterKeyHasNull() const;
-  void AdvanceOuter();
-  void LoadGroupFor(const Row& outer_row);
-  Row Padded() const;
-
-  OperatorPtr outer_;
-  OperatorPtr inner_;
-  std::vector<int> outer_positions_;
-  std::vector<int> inner_positions_;
-  size_t inner_width_;
-  BufferAccount group_buffer_;
-
-  Row outer_row_;
-  bool outer_valid_ = false;
-  bool started_ = false;  ///< matching state initialized for current outer
-  bool match_ = false;
-  Row inner_row_;
-  bool inner_valid_ = false;
-  std::vector<Row> group_;
-  std::vector<Value> group_key_;
-  bool group_valid_ = false;
-  size_t group_pos_ = 0;
-};
-
-/// LEFT OUTER hash join: build inner, probe outer, pad on miss.
-class HashLeftJoinOp : public Operator {
- public:
-  HashLeftJoinOp(OperatorPtr outer, OperatorPtr inner,
-                 std::vector<std::pair<ColumnId, ColumnId>> pairs,
-                 ExecContext ctx = ExecContext());
-  void OpenImpl() override;
-  bool NextBatchImpl(RowBatch* out) override;
-  void Close() override;
-
- private:
-  bool ProduceRow(Row* out);
-
-  OperatorPtr outer_;
-  OperatorPtr inner_;
-  std::vector<int> outer_positions_;
-  std::vector<int> inner_positions_;
-  size_t inner_width_;
-  BufferAccount buffer_;
-  std::map<std::vector<Value>, std::vector<Row>> hash_table_;
-  Row outer_row_;
-  const std::vector<Row>* matches_ = nullptr;
-  size_t match_pos_ = 0;
-};
-
-/// LEFT OUTER nested-loop join with an arbitrary ON condition: the inner
-/// is materialized once; per outer row every inner row is tested against
-/// the ON predicates (evaluated over the concatenated row); unmatched
-/// outers emit null-padded. Preserves outer order.
-class NaiveLeftJoinOp : public Operator {
- public:
-  NaiveLeftJoinOp(OperatorPtr outer, OperatorPtr inner,
-                  std::vector<Predicate> on_predicates,
-                  ExecContext ctx = ExecContext());
-  void OpenImpl() override;
-  bool NextBatchImpl(RowBatch* out) override;
-  void Close() override;
-
- private:
-  bool ProduceRow(Row* out);
-
-  OperatorPtr outer_;
-  OperatorPtr inner_;
-  std::vector<Predicate> on_predicates_;
+  std::vector<AggregateSpec> aggregates_;
+  ExecContext ctx_;
   std::unique_ptr<ExprEvaluator> eval_;
-  BufferAccount buffer_;
-  std::vector<Row> inner_rows_;
-  Row outer_row_;
-  bool outer_valid_ = false;
-  bool matched_current_ = false;
-  size_t inner_pos_ = 0;
+  BufferAccount distinct_buffer_;
 };
 
 /// Streaming aggregation over an input whose order makes groups adjacent
@@ -606,44 +555,25 @@ class StreamGroupByOp : public Operator {
   void Close() override;
 
  private:
-  struct AggState;
-
   bool ProduceRow(Row* out);
-
-  void InitStates();
-  void Accumulate(const Row& row);
-  Row EmitGroup();
+  /// Emits the open group: its key, then the aggregate values.
+  void EmitGroup(Row* out);
 
   OperatorPtr child_;
   std::vector<ColumnId> group_columns_;
-  std::vector<AggregateSpec> aggregates_;
   std::vector<int> group_positions_;
-  std::unique_ptr<ExprEvaluator> eval_;
-  /// Charges the DISTINCT-aggregate value sets (the one place this
-  /// streaming operator buffers unboundedly) against the guard.
-  BufferAccount distinct_buffer_;
+  Aggregator aggregator_;
 
   std::vector<Value> current_key_;
-  bool group_open_ = false;
+  Aggregator::Group group_;
   Row pending_row_;
   bool pending_valid_ = false;
   bool done_ = false;
-  bool emitted_global_ = false;
-
-  struct State {
-    double sum_d = 0.0;
-    int64_t sum_i = 0;
-    bool sum_is_int = true;
-    bool saw_value = false;
-    int64_t count = 0;
-    Value min_v;
-    Value max_v;
-    std::map<std::vector<Value>, bool> distinct_values;
-  };
-  std::vector<State> states_;
 };
 
-/// Hash aggregation (no order in, no order out).
+/// Hash aggregation (no order in, no order out): one aggregator group per
+/// key, each input row folded into its group as it arrives. Groups live in
+/// a key-ordered map so output order is deterministic.
 class HashGroupByOp : public Operator {
  public:
   HashGroupByOp(OperatorPtr child, std::vector<ColumnId> group_columns,
@@ -655,11 +585,11 @@ class HashGroupByOp : public Operator {
  private:
   OperatorPtr child_;
   std::vector<ColumnId> group_columns_;
-  std::vector<AggregateSpec> aggregates_;
-  BufferAccount buffer_;          ///< materialized input buckets
-  BufferAccount results_buffer_;  ///< aggregated result rows
-  std::vector<Row> results_;
-  size_t pos_ = 0;
+  std::vector<int> group_positions_;
+  Aggregator aggregator_;
+  BufferAccount groups_buffer_;  ///< one charge per group
+  std::map<std::vector<Value>, Aggregator::Group> groups_;
+  std::map<std::vector<Value>, Aggregator::Group>::iterator next_;
 };
 
 /// Duplicate elimination on a column subset for inputs where duplicates are

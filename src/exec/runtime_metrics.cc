@@ -6,26 +6,39 @@
 
 namespace ordopt {
 
+namespace {
+
+// The counters that add up across workers and across time; MergeFrom sums
+// them and AccumulateDelta accrues them. The rest are peaks (maxed on
+// merge) or plan-time fields.
+constexpr int64_t RuntimeMetrics::*kAdditiveCounters[] = {
+    &RuntimeMetrics::rows_produced,    &RuntimeMetrics::rows_scanned,
+    &RuntimeMetrics::comparisons,      &RuntimeMetrics::seq_pages,
+    &RuntimeMetrics::random_pages,     &RuntimeMetrics::index_probes,
+    &RuntimeMetrics::sorts_performed,  &RuntimeMetrics::rows_sorted,
+    &RuntimeMetrics::spill_runs,       &RuntimeMetrics::spill_rows,
+    &RuntimeMetrics::spill_bytes,      &RuntimeMetrics::spill_retries,
+    &RuntimeMetrics::exchange_batches, &RuntimeMetrics::worker_busy_ns_total,
+};
+
+}  // namespace
+
 void RuntimeMetrics::MergeFrom(const RuntimeMetrics& worker) {
-  rows_produced += worker.rows_produced;
-  rows_scanned += worker.rows_scanned;
-  comparisons += worker.comparisons;
-  seq_pages += worker.seq_pages;
-  random_pages += worker.random_pages;
-  index_probes += worker.index_probes;
-  sorts_performed += worker.sorts_performed;
-  rows_sorted += worker.rows_sorted;
+  for (int64_t RuntimeMetrics::*counter : kAdditiveCounters) {
+    this->*counter += worker.*counter;
+  }
   rows_buffered_peak = std::max(rows_buffered_peak, worker.rows_buffered_peak);
   bytes_buffered_peak =
       std::max(bytes_buffered_peak, worker.bytes_buffered_peak);
-  spill_runs += worker.spill_runs;
-  spill_rows += worker.spill_rows;
-  spill_bytes += worker.spill_bytes;
-  spill_retries += worker.spill_retries;
   parallel_workers = std::max(parallel_workers, worker.parallel_workers);
-  exchange_batches += worker.exchange_batches;
   worker_busy_ns_max = std::max(worker_busy_ns_max, worker.worker_busy_ns_max);
-  worker_busy_ns_total += worker.worker_busy_ns_total;
+}
+
+void RuntimeMetrics::AccumulateDelta(const RuntimeMetrics& before,
+                                     const RuntimeMetrics& after) {
+  for (int64_t RuntimeMetrics::*counter : kAdditiveCounters) {
+    this->*counter += after.*counter - before.*counter;
+  }
 }
 
 std::string RuntimeMetrics::ToString() const {

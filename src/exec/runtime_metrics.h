@@ -58,6 +58,13 @@ struct RuntimeMetrics {
   /// (reduce-cache) alone — workers never plan.
   void MergeFrom(const RuntimeMetrics& worker);
 
+  /// Adds what the additive counters accrued between two snapshots of one
+  /// instance (`after - before`); peaks, the worker count and the
+  /// plan-time fields are not accrued. This is how an operator's stats
+  /// attribute query-level work to the calls that did it.
+  void AccumulateDelta(const RuntimeMetrics& before,
+                       const RuntimeMetrics& after);
+
   /// Simulated I/O time with 1996-style disk parameters: a random page
   /// pays a seek (~8 ms); sequential pages stream with big-block prefetch
   /// and I/O parallelism (~1 ms/page). The 8:1 ratio is kept close to the
@@ -94,25 +101,20 @@ struct RuntimeMetrics {
 };
 
 /// Per-operator runtime statistics, collected when a query runs under
-/// EXPLAIN ANALYZE (ExecContext::collect_op_stats). The metrics-delta
-/// counters are *inclusive* of the operator's children: the Open()/Next()
-/// wrappers accumulate the query-level RuntimeMetrics delta across each
-/// whole call, which contains the nested child pulls. Stats therefore roll
-/// up parent -> child, and an operator's self cost is derivable as its
-/// value minus the sum over its children.
+/// EXPLAIN ANALYZE (ExecContext::collect_op_stats). `metrics` holds the
+/// query-level RuntimeMetrics accrued across this operator's Open() and
+/// NextBatch() calls. Those calls contain the nested child pulls, so the
+/// counters are *inclusive* of the operator's subtree: stats roll up parent
+/// -> child, and an operator's self cost is its value minus the sum over
+/// its children.
 struct OperatorStats {
   int64_t open_ns = 0;     ///< wall time inside Open() (blocking work)
-  int64_t next_ns = 0;     ///< wall time across all Next() calls
-  int64_t next_calls = 0;  ///< Next() invocations (incl. the final false)
+  int64_t next_ns = 0;     ///< wall time across all NextBatch() calls
+  int64_t next_calls = 0;  ///< NextBatch() calls (incl. the final false)
   int64_t rows_out = 0;    ///< rows this operator produced
-  /// RuntimeMetrics deltas attributed to this subtree (inclusive).
-  int64_t rows_scanned = 0;
-  int64_t comparisons = 0;
-  int64_t seq_pages = 0;
-  int64_t random_pages = 0;
-  int64_t index_probes = 0;
-  int64_t spill_runs = 0;
-  int64_t spill_retries = 0;
+  /// Additive RuntimeMetrics counters attributed to this subtree; its
+  /// peak and plan-time fields stay zero.
+  RuntimeMetrics metrics;
   /// Peak rows this operator held buffered at once (its BufferAccount).
   int64_t buffered_rows_peak = 0;
 
@@ -127,13 +129,7 @@ struct OperatorStats {
     next_ns += other.next_ns;
     next_calls += other.next_calls;
     rows_out += other.rows_out;
-    rows_scanned += other.rows_scanned;
-    comparisons += other.comparisons;
-    seq_pages += other.seq_pages;
-    random_pages += other.random_pages;
-    index_probes += other.index_probes;
-    spill_runs += other.spill_runs;
-    spill_retries += other.spill_retries;
+    metrics.MergeFrom(other.metrics);
     if (other.buffered_rows_peak > buffered_rows_peak) {
       buffered_rows_peak = other.buffered_rows_peak;
     }

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <set>
+
 #include "common/random.h"
 #include "exec/executor.h"
 #include "exec/operators.h"
@@ -156,7 +159,7 @@ TEST(ExecMergeJoin, ManyToManyGroups) {
       li, std::vector<Row>{R({2, 10}), R({2, 20}), R({3, 30}), R({4, 40})});
   RuntimeMetrics m;
   MergeJoinOp join(std::move(outer), std::move(inner),
-                   {{ColumnId(0, 0), ColumnId(1, 0)}}, &m);
+                   {{ColumnId(0, 0), ColumnId(1, 0)}}, JoinKind::kInner, &m);
   std::vector<Row> rows = Drain(&join);
   // 2 outer 2s x 2 inner 2s + 1x1 for key 4 = 5 rows.
   ASSERT_EQ(rows.size(), 5u);
@@ -176,7 +179,7 @@ TEST(ExecMergeJoin, NullKeysNeverMatch) {
       li, std::vector<Row>{null_row, R({1})});
   RuntimeMetrics m;
   MergeJoinOp join(std::move(outer), std::move(inner),
-                   {{ColumnId(0, 0), ColumnId(1, 0)}}, &m);
+                   {{ColumnId(0, 0), ColumnId(1, 0)}}, JoinKind::kInner, &m);
   EXPECT_EQ(Drain(&join).size(), 1u);
 }
 
@@ -190,7 +193,7 @@ TEST(ExecHashJoin, MatchesAndNulls) {
   auto inner = std::make_unique<RowSource>(
       li, std::vector<Row>{R({5, 1}), R({5, 2}), R({7, 3})});
   HashJoinOp join(std::move(outer), std::move(inner),
-                  {{ColumnId(0, 0), ColumnId(1, 0)}});
+                  {{ColumnId(0, 0), ColumnId(1, 0)}}, JoinKind::kInner);
   std::vector<Row> rows = Drain(&join);
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0][0].AsInt(), 5);
@@ -211,14 +214,14 @@ TEST(ExecIndexNLJoin, ProbesAndConcatenates) {
   EXPECT_EQ(m.index_probes, 4);
 }
 
-TEST(ExecNaiveNLJoin, CrossProduct) {
+TEST(ExecNestedLoopJoin, CrossProduct) {
   std::vector<ColumnId> lo = {{0, 0}};
   std::vector<ColumnId> li = {{1, 0}};
   auto outer =
       std::make_unique<RowSource>(lo, std::vector<Row>{R({1}), R({2})});
   auto inner =
       std::make_unique<RowSource>(li, std::vector<Row>{R({10}), R({20})});
-  NaiveNLJoinOp join(std::move(outer), std::move(inner));
+  NestedLoopJoinOp join(std::move(outer), std::move(inner), JoinKind::kInner);
   EXPECT_EQ(Drain(&join).size(), 4u);
 }
 
@@ -234,8 +237,9 @@ TEST(ExecMergeLeftJoin, PadsUnmatchedAndNullKeys) {
   auto inner = std::make_unique<RowSource>(
       li, std::vector<Row>{R({2, 10}), R({2, 20}), R({3, 30}), R({4, 40})});
   RuntimeMetrics m;
-  MergeLeftJoinOp join(std::move(outer), std::move(inner),
-                       {{ColumnId(0, 0), ColumnId(1, 0)}}, &m);
+  MergeJoinOp join(std::move(outer), std::move(inner),
+                   {{ColumnId(0, 0), ColumnId(1, 0)}}, JoinKind::kLeftOuter,
+                   &m);
   std::vector<Row> rows = Drain(&join);
   // NULL -> padded; 1 -> padded; 2 -> two matches each (x2 outers);
   // 4 -> one match. Total 1 + 1 + 4 + 1 = 7, in outer order.
@@ -257,15 +261,15 @@ TEST(ExecHashLeftJoin, PadsUnmatched) {
   auto outer = std::make_unique<RowSource>(
       lo, std::vector<Row>{R({7}), R({8})});
   auto inner = std::make_unique<RowSource>(li, std::vector<Row>{R({8})});
-  HashLeftJoinOp join(std::move(outer), std::move(inner),
-                      {{ColumnId(0, 0), ColumnId(1, 0)}});
+  HashJoinOp join(std::move(outer), std::move(inner),
+                  {{ColumnId(0, 0), ColumnId(1, 0)}}, JoinKind::kLeftOuter);
   std::vector<Row> rows = Drain(&join);
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_TRUE(rows[0][1].is_null());
   EXPECT_EQ(rows[1][1].AsInt(), 8);
 }
 
-TEST(ExecNaiveLeftJoin, ArbitraryOnCondition) {
+TEST(ExecNestedLoopLeftJoin, ArbitraryOnCondition) {
   std::vector<ColumnId> lo = {{0, 0}};
   std::vector<ColumnId> li = {{1, 0}};
   auto outer = std::make_unique<RowSource>(
@@ -283,8 +287,9 @@ TEST(ExecNaiveLeftJoin, ArbitraryOnCondition) {
                         BoundExpr::Column({1, 0}, DataType::kInt64, "i"),
                         BoundExpr::Literal(Value::Int(9)), DataType::kInt64),
       DataType::kInt64);
-  NaiveLeftJoinOp join(std::move(outer), std::move(inner),
-                       {ClassifyPredicate(std::move(cond))});
+  NestedLoopJoinOp join(std::move(outer), std::move(inner),
+                        JoinKind::kLeftOuter,
+                        {ClassifyPredicate(std::move(cond))});
   std::vector<Row> rows = Drain(&join);
   // outer 1 matches inner 2 and 3; outer 5 matches nothing -> padded.
   ASSERT_EQ(rows.size(), 3u);
@@ -292,6 +297,85 @@ TEST(ExecNaiveLeftJoin, ArbitraryOnCondition) {
   EXPECT_EQ(rows[1], R({1, 3}));
   EXPECT_EQ(rows[2][0].AsInt(), 5);
   EXPECT_TRUE(rows[2][1].is_null());
+}
+
+// Every join algorithm runs both kinds over one input with NULL keys and
+// duplicate key groups on both sides and unmatched outers (below, between
+// and above the inner keys). Both sides are sorted, NULLs first, so the
+// merge join can run it too. Column 1 tags each row.
+TEST(ExecJoinKinds, LeftOuterIsInnerPlusPaddedOuters) {
+  const std::vector<ColumnId> lo = {{0, 0}, {0, 1}};
+  const std::vector<ColumnId> li = {{1, 0}, {1, 1}};
+  auto keyed = [](std::optional<int64_t> key, int64_t tag) {
+    return Row{key ? Value::Int(*key) : Value::Null(), Value::Int(tag)};
+  };
+  const std::vector<Row> outer_rows = {
+      keyed(std::nullopt, 0), keyed(1, 1), keyed(2, 2), keyed(2, 3),
+      keyed(4, 4),            keyed(5, 5), keyed(5, 6), keyed(7, 7),
+      keyed(9, 8)};
+  const std::vector<Row> inner_rows = {
+      keyed(std::nullopt, 100), keyed(2, 101), keyed(2, 102), keyed(3, 103),
+      keyed(5, 104),            keyed(5, 105), keyed(7, 106), keyed(8, 107)};
+  const std::vector<std::pair<ColumnId, ColumnId>> pairs = {
+      {ColumnId(0, 0), ColumnId(1, 0)}};
+  BoundExpr on = BoundExpr::Binary(
+      BinOp::kEq, BoundExpr::Column({0, 0}, DataType::kInt64, "o"),
+      BoundExpr::Column({1, 0}, DataType::kInt64, "i"), DataType::kInt64);
+  const Predicate on_pred = ClassifyPredicate(std::move(on));
+
+  enum class Algo { kMerge, kHash, kNestedLoop };
+  auto run = [&](Algo algo, JoinKind kind) {
+    RuntimeMetrics m;
+    auto outer = std::make_unique<RowSource>(lo, outer_rows);
+    auto inner = std::make_unique<RowSource>(li, inner_rows);
+    OperatorPtr join;
+    switch (algo) {
+      case Algo::kMerge:
+        join = std::make_unique<MergeJoinOp>(std::move(outer),
+                                             std::move(inner), pairs, kind,
+                                             &m);
+        break;
+      case Algo::kHash:
+        join = std::make_unique<HashJoinOp>(std::move(outer), std::move(inner),
+                                            pairs, kind, &m);
+        break;
+      case Algo::kNestedLoop:
+        join = std::make_unique<NestedLoopJoinOp>(
+            std::move(outer), std::move(inner), kind,
+            std::vector<Predicate>{on_pred}, &m);
+        break;
+    }
+    return Drain(join.get());
+  };
+
+  // 2x2 pairs for key 2, 2x2 for key 5, one for key 7, in outer order.
+  const std::vector<Row> expected_inner = {
+      R({2, 2, 2, 101}), R({2, 2, 2, 102}), R({2, 3, 2, 101}),
+      R({2, 3, 2, 102}), R({5, 5, 5, 104}), R({5, 5, 5, 105}),
+      R({5, 6, 5, 104}), R({5, 6, 5, 105}), R({7, 7, 7, 106})};
+  for (Algo algo : {Algo::kMerge, Algo::kHash, Algo::kNestedLoop}) {
+    SCOPED_TRACE(static_cast<int>(algo));
+    std::vector<Row> inner = run(algo, JoinKind::kInner);
+    EXPECT_EQ(inner, expected_inner);
+
+    std::vector<Row> left = run(algo, JoinKind::kLeftOuter);
+    std::vector<Row> matched;
+    std::vector<int64_t> padded_tags;
+    for (const Row& row : left) {
+      ASSERT_EQ(row.size(), 4u);
+      if (row[3].is_null()) {
+        EXPECT_TRUE(row[2].is_null());
+        padded_tags.push_back(row[1].AsInt());
+      } else {
+        matched.push_back(row);
+      }
+    }
+    // Left minus its padded rows is the inner output, row for row; the
+    // padded rows are the NULL-keyed outer and the three unmatched ones.
+    EXPECT_EQ(matched, inner);
+    EXPECT_EQ(padded_tags, (std::vector<int64_t>{0, 1, 4, 8}));
+    EXPECT_EQ(left.size(), inner.size() + 4);
+  }
 }
 
 TEST(ExecUnion, AllAndMerge) {
@@ -417,31 +501,109 @@ TEST(ExecGroupBy, DistinctAggregatesAndNulls) {
   EXPECT_EQ(rows[0][3].AsInt(), 2);   // count distinct
 }
 
+// Hash and stream grouping share one aggregation core, so over the same
+// rows (the stream's input stably sorted by key, keeping each group's
+// accumulation order) they emit identical rows — DISTINCT aggregates, NULL
+// keys and arguments, MIN/MAX, a double column and the empty-input global
+// aggregate included. The hash path charges what stream grouping spends
+// (k key comparisons per row joining its group, one per group emitted)
+// and buffers one entry per group, not its input.
 TEST(ExecGroupBy, HashMatchesStream) {
-  std::vector<ColumnId> layout = {{0, 0}, {0, 1}};
+  const std::vector<ColumnId> layout = {{0, 0}, {0, 1}, {0, 2}};
   std::vector<Row> data;
   Rng rng(5);
-  for (int i = 0; i < 100; ++i) {
-    data.push_back(R({rng.Uniform(0, 5), rng.Uniform(0, 50)}));
+  for (int i = 0; i < 200; ++i) {
+    const int64_t key = rng.Uniform(0, 5);
+    const int64_t v = rng.Uniform(0, 20);
+    data.push_back({key == 5 ? Value::Null() : Value::Int(key),
+                    v % 7 == 0 ? Value::Null() : Value::Int(v),
+                    Value::Double(static_cast<double>(rng.Uniform(0, 1000)) /
+                                  8.0)});
   }
-  std::vector<AggregateSpec> aggs = {MakeAgg(AggFunc::kSum, {0, 1}, {5, 0}),
-                                     MakeAgg(AggFunc::kAvg, {0, 1}, {5, 1})};
-  RuntimeMetrics m;
-  HashGroupByOp hash(std::make_unique<RowSource>(layout, data),
-                     {ColumnId(0, 0)}, aggs, &m);
-  std::vector<Row> hashed = Drain(&hash);
+  auto agg = [](AggFunc func, int col, int out, bool distinct = false) {
+    AggregateSpec spec = MakeAgg(func, {0, col}, {5, out}, distinct);
+    if (col == 2) spec.arg = BoundExpr::Column({0, 2}, DataType::kDouble, "d");
+    return spec;
+  };
+  const std::vector<AggregateSpec> plain = {
+      agg(AggFunc::kSum, 1, 0),  agg(AggFunc::kAvg, 1, 1),
+      agg(AggFunc::kMin, 1, 2),  agg(AggFunc::kMax, 1, 3),
+      agg(AggFunc::kCount, 1, 4), MakeAgg(AggFunc::kCount, {0, 1}, {5, 5},
+                                          false, /*star=*/true),
+      agg(AggFunc::kSum, 2, 6),  agg(AggFunc::kAvg, 2, 7),
+      agg(AggFunc::kMin, 2, 8),  agg(AggFunc::kMax, 2, 9)};
+  std::vector<AggregateSpec> with_distinct = plain;
+  with_distinct.push_back(agg(AggFunc::kSum, 1, 10, /*distinct=*/true));
+  with_distinct.push_back(agg(AggFunc::kCount, 1, 11, /*distinct=*/true));
+  with_distinct.push_back(agg(AggFunc::kAvg, 2, 12, /*distinct=*/true));
 
-  std::sort(data.begin(), data.end(), [](const Row& a, const Row& b) {
-    return a[0].AsInt() < b[0].AsInt();
-  });
-  StreamGroupByOp stream(std::make_unique<RowSource>(layout, data),
-                         {ColumnId(0, 0)}, aggs, &m);
-  std::vector<Row> streamed = Drain(&stream);
-  ASSERT_EQ(hashed.size(), streamed.size());
-  for (size_t i = 0; i < hashed.size(); ++i) {
-    for (size_t c = 0; c < hashed[i].size(); ++c) {
-      EXPECT_EQ(hashed[i][c].Compare(streamed[i][c]), 0);
+  std::vector<Row> sorted = data;
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [](const Row& a, const Row& b) {
+                     return a[0].Compare(b[0]) < 0;
+                   });
+
+  struct Case {
+    const char* name;
+    const std::vector<Row>* rows;
+    std::vector<ColumnId> group_columns;
+    const std::vector<AggregateSpec>* aggs;
+  };
+  const std::vector<Row> empty;
+  const std::vector<Case> cases = {
+      {"grouped", &data, {ColumnId(0, 0)}, &plain},
+      {"grouped+distinct", &data, {ColumnId(0, 0)}, &with_distinct},
+      {"global", &data, {}, &with_distinct},
+      {"global over empty input", &empty, {}, &with_distinct},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    RuntimeMetrics hm;
+    HashGroupByOp hash(std::make_unique<RowSource>(layout, *c.rows),
+                       c.group_columns, *c.aggs, &hm);
+    std::vector<Row> hashed = Drain(&hash);
+
+    RuntimeMetrics sm;
+    StreamGroupByOp stream(
+        std::make_unique<RowSource>(
+            layout, c.rows == &data ? sorted : *c.rows),
+        c.group_columns, *c.aggs, &sm);
+    std::vector<Row> streamed = Drain(&stream);
+
+    ASSERT_EQ(hashed.size(), streamed.size());
+    for (size_t i = 0; i < hashed.size(); ++i) {
+      ASSERT_EQ(hashed[i].size(), streamed[i].size());
+      for (size_t col = 0; col < hashed[i].size(); ++col) {
+        EXPECT_EQ(hashed[i][col].type(), streamed[i][col].type());
+        EXPECT_EQ(hashed[i][col].Compare(streamed[i][col]), 0)
+            << "row " << i << " col " << col;
+      }
     }
+
+    const int64_t rows = static_cast<int64_t>(c.rows->size());
+    const int64_t groups = static_cast<int64_t>(hashed.size());
+    const int64_t k = static_cast<int64_t>(c.group_columns.size());
+    EXPECT_EQ(hm.comparisons, k * (rows - groups) + groups);
+
+    // Peak of the operator's accounts: one entry per group, or the DISTINCT
+    // values all groups retain at once when those outnumber the groups.
+    int64_t distinct_retained = 0;
+    for (const AggregateSpec& a : *c.aggs) {
+      if (!a.distinct) continue;
+      std::set<std::pair<Row, Row>> seen;  // (group key, argument)
+      for (const Row& row : *c.rows) {
+        const Value& arg = row[static_cast<size_t>(a.arg.column().column)];
+        if (arg.is_null()) continue;
+        Row key;
+        for (const ColumnId& g : c.group_columns) {
+          key.push_back(row[static_cast<size_t>(g.column)]);
+        }
+        seen.insert({key, Row{arg}});
+      }
+      distinct_retained += static_cast<int64_t>(seen.size());
+    }
+    EXPECT_EQ(hash.stats().buffered_rows_peak,
+              std::max(groups, distinct_retained));
   }
 }
 

@@ -432,5 +432,55 @@ TEST(TraceTpcdTest, Query3AnalyzedWithDecisions) {
   EXPECT_EQ(q.trace->Count("plan.chosen"), 1);
 }
 
+// An operator's stats are the query's RuntimeMetrics accrued across its
+// calls, inclusive of its subtree. So for a serial plan the root's counters
+// are the query's counters: over an index nested-loop join, a sort that
+// spills, and a hash group-by.
+TEST(TraceTpcdTest, RootOperatorStatsEqualQueryMetrics) {
+  Database db;
+  TpcdConfig data;
+  data.scale_factor = 0.005;
+  ASSERT_TRUE(LoadTpcd(&db, data).ok());
+
+  OptimizerConfig db2;
+  db2.enable_hash_join = false;
+  db2.enable_hash_grouping = false;
+  OptimizerConfig spilling;
+  spilling.cost_params.sort_memory_rows = 500;
+  struct Case {
+    const char* sql;
+    OptimizerConfig config;
+    OpKind must_contain;
+  };
+  const Case cases[] = {
+      {tpcd_queries::kQuery3, db2, OpKind::kIndexNLJoin},
+      {"select l_orderkey, l_quantity from lineitem order by l_quantity",
+       spilling, OpKind::kSort},
+      {tpcd_queries::kPricingSummary, OptimizerConfig(), OpKind::kHashGroupBy},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.sql);
+    QueryEngine engine(&db, c.config);
+    Result<QueryResult> r = engine.RunAnalyzed(c.sql);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const QueryResult& q = r.value();
+    ASSERT_TRUE(q.plan->ContainsKind(c.must_contain));
+    ASSERT_FALSE(q.op_profile.empty());
+    // Profiles are post-order: the root comes last.
+    const OperatorProfile& root = q.op_profile.back();
+    ASSERT_EQ(root.node, q.plan.get());
+    const RuntimeMetrics& op = root.stats.metrics;
+    EXPECT_EQ(op.rows_scanned, q.metrics.rows_scanned);
+    EXPECT_EQ(op.comparisons, q.metrics.comparisons);
+    EXPECT_EQ(op.seq_pages, q.metrics.seq_pages);
+    EXPECT_EQ(op.random_pages, q.metrics.random_pages);
+    EXPECT_EQ(op.index_probes, q.metrics.index_probes);
+    EXPECT_EQ(op.spill_runs, q.metrics.spill_runs);
+    if (c.must_contain == OpKind::kSort) {
+      EXPECT_GT(q.metrics.spill_runs, 0);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ordopt
